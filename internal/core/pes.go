@@ -132,18 +132,18 @@ func (pr *Protocol) cell(b, y int, z uint64) uint64 {
 	return (uint64(b)*uint64(pr.p.Y)+uint64(y))<<uint(pr.zbits) | z
 }
 
-// Report runs user userIdx's client computation on item x: O(M) hash and
-// code evaluations and two randomized bits, all inside one message.
+// Report runs user userIdx's client computation on item x: O(D) hash and
+// code evaluations for the user's one coordinate and two randomized bits,
+// all inside one message.
 func (pr *Protocol) Report(x []byte, userIdx int, rng *rand.Rand) (Report, error) {
 	if len(x) != pr.p.ItemBytes {
 		return Report{}, fmt.Errorf("core: item length %d, want %d", len(x), pr.p.ItemBytes)
 	}
 	m := pr.Group(userIdx)
-	enc, err := pr.code.Encode(x)
+	sym, err := pr.code.EncodeAt(x, m)
 	if err != nil {
 		return Report{}, err
 	}
-	sym := enc[m]
 	v := pr.cell(pr.Bucket(x), sym.Y, sym.Z)
 	dirRep, err := pr.direct[m].Report(v, rng)
 	if err != nil {

@@ -26,6 +26,10 @@ import (
 type Code struct {
 	n, k int
 	gen  []byte // generator polynomial, degree n-k
+	// parity[j*k+i] is parity symbol j of the codeword of the i-th unit
+	// message. The code is linear, so parity symbol j of any message is
+	// the GF(256) dot product of the message with row j (see Symbol).
+	parity []byte
 }
 
 // ErrTooManyCorruptions is returned when decoding fails because the
@@ -43,7 +47,22 @@ func New(n, k int) (*Code, error) {
 	for i := 0; i < n-k; i++ {
 		gen = gf256.PolyMul(gen, []byte{gf256.Exp(i), 1})
 	}
-	return &Code{n: n, k: k, gen: gen}, nil
+	c := &Code{n: n, k: k, gen: gen}
+	nParity := n - k
+	c.parity = make([]byte, nParity*k)
+	unit := make([]byte, k)
+	for i := 0; i < k; i++ {
+		unit[i] = 1
+		cw, err := c.Encode(unit)
+		if err != nil {
+			return nil, err
+		}
+		unit[i] = 0
+		for j := 0; j < nParity; j++ {
+			c.parity[j*k+i] = cw[j]
+		}
+	}
+	return c, nil
 }
 
 // N returns the codeword length in symbols.
@@ -82,6 +101,24 @@ func (c *Code) Encode(msg []byte) ([]byte, error) {
 	copy(cw[:nParity], rem)
 	copy(cw[nParity:], msg)
 	return cw, nil
+}
+
+// Symbol returns codeword symbol pos of msg, equal to Encode(msg)[pos],
+// without materializing the codeword: a data position is a message byte and
+// a parity position is a k-term dot product with the parity table. msg must
+// have length K and pos must lie in [0, N); Symbol does not allocate.
+func (c *Code) Symbol(msg []byte, pos int) byte {
+	nParity := c.n - c.k
+	if pos >= nParity {
+		return msg[pos-nParity]
+	}
+	row := c.parity[pos*c.k : (pos+1)*c.k]
+	msg = msg[:len(row)]
+	var s byte
+	for i, g := range row {
+		s ^= gf256.Mul(msg[i], g)
+	}
+	return s
 }
 
 // Decode corrects received in place-free fashion and returns the k data

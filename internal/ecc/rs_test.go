@@ -229,6 +229,32 @@ func TestPropertyRoundtripRandomParams(t *testing.T) {
 	}
 }
 
+// TestSymbolMatchesEncode checks the table-driven single-symbol path
+// against the synthetic-division encoder at every position.
+func TestSymbolMatchesEncode(t *testing.T) {
+	grid := [][2]int{{2, 1}, {3, 1}, {255, 1}, {8, 4}, {16, 8}, {32, 16}, {30, 10}, {255, 128}, {255, 223}, {255, 254}}
+	rng := rand.New(rand.NewPCG(31, 32))
+	for _, nk := range grid {
+		n, k := nk[0], nk[1]
+		c := mustCode(t, n, k)
+		msgs := [][]byte{make([]byte, k), bytes.Repeat([]byte{0xff}, k)}
+		for trial := 0; trial < 20; trial++ {
+			msgs = append(msgs, randBytes(rng, k))
+		}
+		for _, msg := range msgs {
+			cw, err := c.Encode(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pos := 0; pos < n; pos++ {
+				if got := c.Symbol(msg, pos); got != cw[pos] {
+					t.Fatalf("RS(%d,%d) msg %x pos %d: Symbol %#x, Encode %#x", n, k, msg, pos, got, cw[pos])
+				}
+			}
+		}
+	}
+}
+
 func randBytes(rng *rand.Rand, n int) []byte {
 	b := make([]byte, n)
 	for i := range b {

@@ -14,6 +14,11 @@
 // values to fingerprints (setting F = Y recovers the paper's construction
 // verbatim; see DESIGN.md substitution S4).
 //
+// A device sends one coordinate, so it evaluates only that coordinate
+// (EncodeAt): D+1 hashes, D fingerprints and ChunkBytes RS symbols, each
+// symbol a k-term dot product with a precomputed parity table. Encode is
+// the same routine looped over all M coordinates.
+//
 // Decoding builds the layered graph on [M]x[Y] whose edges are the
 // *mutually* suggested expander edges, finds spectral clusters (the whp
 // isolated corrupted copies of Γ — Appendix B), prunes low-degree vertices,
@@ -230,31 +235,51 @@ func (c *Code) fingerprint(m, k, y int) uint64 {
 // Encode returns the M symbols of Enc(item). item must have length
 // ItemBytes.
 func (c *Code) Encode(item []byte) ([]Symbol, error) {
-	if len(item) != c.p.ItemBytes {
-		return nil, fmt.Errorf("listrec: item length %d, want %d", len(item), c.p.ItemBytes)
-	}
-	cw, err := c.rs.Encode(item)
-	if err != nil {
+	if err := c.checkItem(item); err != nil {
 		return nil, err
 	}
 	key := c.fold.Fold(item)
-	ys := make([]int, c.p.M)
-	for m := 0; m < c.p.M; m++ {
-		ys[m] = c.hs[m].Range(key, c.p.Y)
-	}
 	out := make([]Symbol, c.p.M)
-	for m := 0; m < c.p.M; m++ {
-		var z uint64
-		// fingerprints, highest slot first so unpacking is positional
-		for k := c.dEff - 1; k >= 0; k-- {
-			z = z<<uint(c.fBits) | c.fingerprint(m, k, ys[c.exp.Neighbor(m, k)])
-		}
-		for b := c.p.ChunkBytes - 1; b >= 0; b-- {
-			z = z<<8 | uint64(cw[m*c.p.ChunkBytes+b])
-		}
-		out[m] = Symbol{Y: ys[m], Z: z}
+	for m := range out {
+		out[m] = c.symbolAt(key, item, m)
 	}
 	return out, nil
+}
+
+// EncodeAt returns Enc(item)_m, the one symbol a device in coordinate group
+// m sends, equal to Encode(item)[m]. It evaluates D+1 hashes, D fingerprints
+// and ChunkBytes RS symbols and does not allocate. item must have length
+// ItemBytes and m must lie in [0, M).
+func (c *Code) EncodeAt(item []byte, m int) (Symbol, error) {
+	if err := c.checkItem(item); err != nil {
+		return Symbol{}, err
+	}
+	if m < 0 || m >= c.p.M {
+		return Symbol{}, fmt.Errorf("listrec: coordinate %d out of range [0, %d)", m, c.p.M)
+	}
+	return c.symbolAt(c.fold.Fold(item), item, m), nil
+}
+
+func (c *Code) checkItem(item []byte) error {
+	if len(item) != c.p.ItemBytes {
+		return fmt.Errorf("listrec: item length %d, want %d", len(item), c.p.ItemBytes)
+	}
+	return nil
+}
+
+// symbolAt computes symbol m of the item whose fold is key: h_m(key), then
+// the payload packed with the fingerprints highest slot first and the chunk
+// bytes in the low bits, so unpacking is positional.
+func (c *Code) symbolAt(key uint64, item []byte, m int) Symbol {
+	var z uint64
+	for k := c.dEff - 1; k >= 0; k-- {
+		y := c.hs[c.exp.Neighbor(m, k)].Range(key, c.p.Y)
+		z = z<<uint(c.fBits) | c.fingerprint(m, k, y)
+	}
+	for b := c.p.ChunkBytes - 1; b >= 0; b-- {
+		z = z<<8 | uint64(c.rs.Symbol(item, m*c.p.ChunkBytes+b))
+	}
+	return Symbol{Y: c.hs[m].Range(key, c.p.Y), Z: z}
 }
 
 // unpack splits a payload into chunk bytes and fingerprint slots.
@@ -271,17 +296,4 @@ func (c *Code) unpack(z uint64) (chunk []byte, fps []uint64) {
 		z >>= uint(c.fBits)
 	}
 	return chunk, fps
-}
-
-// PackZ packs a chunk and fingerprint values into a payload; exported for
-// tests that fabricate adversarial symbols.
-func (c *Code) PackZ(chunk []byte, fps []uint64) uint64 {
-	var z uint64
-	for k := c.dEff - 1; k >= 0; k-- {
-		z = z<<uint(c.fBits) | (fps[k] & uint64(c.p.F-1))
-	}
-	for b := c.p.ChunkBytes - 1; b >= 0; b-- {
-		z = z<<8 | uint64(chunk[b])
-	}
-	return z
 }

@@ -103,10 +103,23 @@ func TestZBitsPacking(t *testing.T) {
 			t.Fatalf("coordinate %d payload exceeds ZBits: %d", m, s.Z)
 		}
 		chunk, fps := c.unpack(s.Z)
-		if got := c.PackZ(chunk, fps); got != s.Z {
+		if got := packZ(c, chunk, fps); got != s.Z {
 			t.Fatalf("pack/unpack mismatch at %d: %d != %d", m, got, s.Z)
 		}
 	}
+}
+
+// packZ is the inverse of unpack, written independently of the encoder's
+// packing so the round trip checks the layout.
+func packZ(c *Code, chunk []byte, fps []uint64) uint64 {
+	var z uint64
+	for k := c.dEff - 1; k >= 0; k-- {
+		z = z<<uint(c.fBits) | (fps[k] & uint64(c.p.F-1))
+	}
+	for b := c.p.ChunkBytes - 1; b >= 0; b-- {
+		z = z<<8 | uint64(chunk[b])
+	}
+	return z
 }
 
 func TestEncodeDeterministicAndHashConsistent(t *testing.T) {
@@ -386,6 +399,21 @@ func BenchmarkEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Encode(item); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkEncodeAt(b *testing.B) {
+	c, err := New(testParams(), rand.New(rand.NewPCG(1, 2)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	item := []byte("8byteitm")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.EncodeAt(item, i%c.M()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -93,3 +93,86 @@ func TestDecodeAllCoordinatesCorrupted(t *testing.T) {
 		}
 	}
 }
+
+// referenceEncode is the whole-codeword encoder EncodeAt replaced: one RS
+// encode, all M hashes, then every coordinate packed from those. It pins
+// EncodeAt and Encode to the original symbol layout.
+func referenceEncode(c *Code, item []byte) []Symbol {
+	cw, err := c.rs.Encode(item)
+	if err != nil {
+		panic(err)
+	}
+	key := c.fold.Fold(item)
+	ys := make([]int, c.p.M)
+	for m := range ys {
+		ys[m] = c.hs[m].Range(key, c.p.Y)
+	}
+	out := make([]Symbol, c.p.M)
+	for m := range out {
+		var z uint64
+		for k := c.dEff - 1; k >= 0; k-- {
+			z = z<<uint(c.fBits) | c.fingerprint(m, k, ys[c.exp.Neighbor(m, k)])
+		}
+		for b := c.p.ChunkBytes - 1; b >= 0; b-- {
+			z = z<<8 | uint64(cw[m*c.p.ChunkBytes+b])
+		}
+		out[m] = Symbol{Y: ys[m], Z: z}
+	}
+	return out
+}
+
+// TestEncodeAtMatchesEncode checks, for random items, that EncodeAt(x, m)
+// equals Encode(x)[m] and the whole-codeword reference at every m, across
+// the code shapes the protocols use.
+func TestEncodeAtMatchesEncode(t *testing.T) {
+	shapes := []struct {
+		name string
+		p    Params
+	}{
+		{"item2_complete_graph", Params{ItemBytes: 2, M: 5, Y: 32, F: 8, D: 8}},
+		{"item2_pes_default", Params{ItemBytes: 2, M: 4, Y: 64, F: 2, D: 4}},
+		{"item4", Params{ItemBytes: 4, M: 8, Y: 64, F: 2, D: 4}},
+		{"item8", testParams()},
+		{"chunk2", Params{ItemBytes: 8, M: 8, ChunkBytes: 2, Y: 64, F: 4, D: 4}},
+		{"f_equals_y", Params{ItemBytes: 4, M: 12, Y: 64, F: 64, D: 4}},
+	}
+	for i, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			c := mustCode(t, sh.p, uint64(40+i))
+			rng := rand.New(rand.NewPCG(uint64(i), 99))
+			for trial := 0; trial < 200; trial++ {
+				item := randItem(rng, sh.p.ItemBytes)
+				enc, err := c.Encode(item)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := referenceEncode(c, item)
+				for m := 0; m < c.M(); m++ {
+					got, err := c.EncodeAt(item, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != enc[m] || got != ref[m] {
+						t.Fatalf("item %x coordinate %d: EncodeAt %+v, Encode %+v, reference %+v",
+							item, m, got, enc[m], ref[m])
+					}
+				}
+			}
+		})
+	}
+}
+
+func TestEncodeAtRejectsBadInput(t *testing.T) {
+	c := mustCode(t, testParams(), 47)
+	item := make([]byte, testParams().ItemBytes)
+	for _, bad := range [][]byte{nil, item[:7], append(item, 0)} {
+		if _, err := c.EncodeAt(bad, 0); err == nil {
+			t.Errorf("EncodeAt accepted a %d-byte item", len(bad))
+		}
+	}
+	for _, m := range []int{-1, c.M(), c.M() + 5} {
+		if _, err := c.EncodeAt(item, m); err == nil {
+			t.Errorf("EncodeAt accepted coordinate %d of %d", m, c.M())
+		}
+	}
+}
