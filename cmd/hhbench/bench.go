@@ -28,7 +28,7 @@ type benchConfig struct {
 	ZipfS     float64
 	Support   int
 	Seed      uint64
-	Y         int // per-coordinate hash range (pes)
+	Y         int    // per-coordinate hash range (pes)
 	Workers   int    // Identify worker-pool size (pes; 0 = GOMAXPROCS)
 	Fleets    int    // concurrent sender connections in tcp transport; 0 = 4
 	Wire      string // tcp framing: batch (pipelined mega-batches) | stream (legacy per-frame); "" = batch

@@ -43,7 +43,7 @@ func TestLoadOpenLoopRate(t *testing.T) {
 		Protocol: "hashtogram", Wire: "batch",
 		Devices: 8000, Conns: 2, Batch: 1000,
 		Rate: 100000, // 8k reports at 100k/s: the schedule spans >= 70ms
-		Eps: 4, ItemBytes: 4, ZipfS: 1.1, Support: 100, Seed: 7,
+		Eps:  4, ItemBytes: 4, ZipfS: 1.1, Support: 100, Seed: 7,
 	}
 	res, err := runLoad(cfg)
 	if err != nil {

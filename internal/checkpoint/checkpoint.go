@@ -11,14 +11,16 @@
 // truncated files (a crash mid-rename, a disk that lied about a sync), so
 // one bad tail never makes the whole history unreadable.
 //
-// File format "LCKF" version 1 (big endian), one checkpoint per file:
+// File format "LCKF" version 2 (big endian), one checkpoint per file:
 //
 //	magic "LCKF" | version u8 | seq u64 | unix-nanos u64 | fingerprint u64 |
-//	payload len u64 | payload | FNV-1a-64 over all preceding bytes
+//	payload len u64 | payload | CRC-32C over all preceding bytes, as u64
 //
-// The trailing checksum is what detects torn writes: truncation chops it
-// off, corruption fails it. The fingerprint field carries the aggregator's
-// parameter fingerprint when the aggregator can state one
+// The trailing checksum detects torn writes, not tampering: truncation
+// fails the payload-length check, corruption fails the CRC-32C, which
+// catches every error burst of 32 bits or fewer. Version 1 files, identical
+// but for an FNV-1a-64 trailer, still load. The fingerprint field carries
+// the aggregator's parameter fingerprint when the aggregator can state one
 // (proto.Fingerprinted); a Manager opened with an expected fingerprint
 // rejects a mismatching checkpoint as ErrFingerprintMismatch — a distinct,
 // non-recoverable failure (the operator restarted the server with different
@@ -34,6 +36,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"os"
 	"path/filepath"
@@ -46,10 +49,13 @@ import (
 
 const (
 	magic   = "LCKF"
-	version = 1
+	version = 2 // CRC-32C trailer
+	// versionFNV files (FNV-1a-64 trailer) are still accepted on load.
+	versionFNV = 1
 	// header is magic + version + seq + nanos + fingerprint + payload len.
 	headerBytes = 4 + 1 + 8 + 8 + 8 + 8
-	// trailerBytes is the FNV-1a-64 checksum.
+	// trailerBytes is the checksum slot: CRC-32C zero-extended to u64 in
+	// version 2, FNV-1a-64 in version 1.
 	trailerBytes = 8
 	// prefix/suffix of a live checkpoint file: ckpt-%016x.lckf.
 	filePrefix = "ckpt-"
@@ -57,6 +63,8 @@ const (
 	// tmpPrefix marks in-progress writes; stale ones are removed at Open.
 	tmpPrefix = ".tmp-ckpt-"
 )
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrNoCheckpoint is returned by LoadNewest when the directory holds no
 // intact checkpoint (none ever written, or every file failed verification).
@@ -157,24 +165,31 @@ func (m *Manager) Save(payload []byte) (Info, error) {
 	seq := m.seq + 1
 	now := time.Now()
 
-	buf := make([]byte, 0, headerBytes+len(payload)+trailerBytes)
-	buf = append(buf, magic...)
-	buf = append(buf, version)
-	buf = binary.BigEndian.AppendUint64(buf, seq)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(now.UnixNano()))
-	buf = binary.BigEndian.AppendUint64(buf, m.fp)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	h := fnv.New64a()
-	h.Write(buf)
-	buf = h.Sum(buf)
+	// The payload is written where it lies: header, payload and trailer go
+	// to the file as three writes, checksummed incrementally, never copied
+	// into one framing buffer.
+	var header [headerBytes]byte
+	copy(header[:], magic)
+	header[4] = version
+	binary.BigEndian.PutUint64(header[5:], seq)
+	binary.BigEndian.PutUint64(header[13:], uint64(now.UnixNano()))
+	binary.BigEndian.PutUint64(header[21:], m.fp)
+	binary.BigEndian.PutUint64(header[29:], uint64(len(payload)))
+	var trailer [trailerBytes]byte
+	crc := crc32.Update(crc32.Checksum(header[:], castagnoli), castagnoli, payload)
+	binary.BigEndian.PutUint64(trailer[:], uint64(crc))
 
 	tmp, err := os.CreateTemp(m.dir, tmpPrefix)
 	if err != nil {
 		return Info{}, fmt.Errorf("checkpoint: %w", err)
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf); err == nil {
+	for _, b := range [][]byte{header[:], payload, trailer[:]} {
+		if _, err = tmp.Write(b); err != nil {
+			break
+		}
+	}
+	if err == nil {
 		err = tmp.Sync()
 	} else {
 		tmp.Sync() //nolint:errcheck // surface the write error below
@@ -282,7 +297,7 @@ func readFile(path string) ([]byte, Info, error) {
 	if string(buf[:4]) != magic {
 		return nil, Info{}, fmt.Errorf("checkpoint: %s has bad magic", path)
 	}
-	if buf[4] != version {
+	if buf[4] != versionFNV && buf[4] != version {
 		return nil, Info{}, fmt.Errorf("checkpoint: %s has unsupported version %d", path, buf[4])
 	}
 	seq := binary.BigEndian.Uint64(buf[5:])
@@ -294,9 +309,15 @@ func readFile(path string) ([]byte, Info, error) {
 			path, plen, len(buf)-headerBytes-trailerBytes)
 	}
 	body := buf[:len(buf)-trailerBytes]
-	h := fnv.New64a()
-	h.Write(body)
-	if got, want := binary.BigEndian.Uint64(buf[len(buf)-trailerBytes:]), h.Sum64(); got != want {
+	var want uint64
+	if buf[4] == version {
+		want = uint64(crc32.Checksum(body, castagnoli))
+	} else {
+		h := fnv.New64a()
+		h.Write(body)
+		want = h.Sum64()
+	}
+	if got := binary.BigEndian.Uint64(buf[len(buf)-trailerBytes:]); got != want {
 		return nil, Info{}, fmt.Errorf("checkpoint: %s checksum %016x, want %016x (torn write?)", path, got, want)
 	}
 	return body[headerBytes:], Info{

@@ -141,8 +141,8 @@ func TestTornFileFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, mutate := range map[string]func([]byte) []byte{
-		"truncated": func(b []byte) []byte { return b[:len(b)/2] },
-		"bitflip":   func(b []byte) []byte { b[len(b)-3] ^= 0x40; return b },
+		"truncated":           func(b []byte) []byte { return b[:len(b)/2] },
+		"bitflip":             func(b []byte) []byte { b[len(b)-3] ^= 0x40; return b },
 		"shorter than header": func(b []byte) []byte { return b[:7] },
 		"bad magic":           func(b []byte) []byte { b[0] = 'X'; return b },
 	} {
@@ -152,6 +152,9 @@ func TestTornFileFallsBack(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer os.WriteFile(info2.Path, orig, 0o644) //nolint:errcheck // restore for the next subtest
+			if orig[4] != version {
+				t.Fatalf("Save wrote version %d, want %d", orig[4], version)
+			}
 			buf := append([]byte(nil), orig...)
 			if err := os.WriteFile(info2.Path, mutate(buf), 0o644); err != nil {
 				t.Fatal(err)

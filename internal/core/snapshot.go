@@ -33,6 +33,10 @@ import (
 // snapshotVersion is the current LPSK format version.
 const snapshotVersion = 1
 
+// snapshotHeader is the LPSK header length: magic, version, fingerprint,
+// m and absorbed.
+const snapshotHeader = 4 + 1 + 8 + 4 + 8
+
 // fingerprintLabel seeds the parameter fingerprint so it cannot collide
 // with any other FNV-1a use in the module.
 const fingerprintLabel = "ldphh/core.Params/v1"
@@ -76,14 +80,19 @@ func (pr *Protocol) Fingerprint() uint64 {
 // Snapshot serializes the protocol's full accumulated (pre-Identify) state:
 // the per-coordinate DirectHistogram counters, the confirmation Hashtogram
 // counters, and the group occupancy the admission thresholds derive from.
-// The bytes restore only into a protocol with an equal Fingerprint.
+// The bytes restore only into a protocol with an equal Fingerprint. The
+// snapshot is encoded in place into one exact-size allocation.
 func (pr *Protocol) Snapshot() ([]byte, error) {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
 	if pr.finalized {
 		return nil, fmt.Errorf("core: Snapshot after Identify")
 	}
-	buf := make([]byte, 0, 64)
+	size := snapshotHeader + 8*pr.p.M + 4 + pr.conf.SnapshotBytes()
+	for _, d := range pr.direct {
+		size += 4 + d.SnapshotBytes()
+	}
+	buf := make([]byte, 0, size)
 	buf = append(buf, 'L', 'P', 'S', 'K', snapshotVersion)
 	buf = binary.BigEndian.AppendUint64(buf, pr.Fingerprint())
 	buf = binary.BigEndian.AppendUint32(buf, uint32(pr.p.M))
@@ -91,20 +100,17 @@ func (pr *Protocol) Snapshot() ([]byte, error) {
 	for _, n := range pr.groupN {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(n))
 	}
-	for m := 0; m < pr.p.M; m++ {
-		blob, err := pr.direct[m].Snapshot()
-		if err != nil {
+	var err error
+	for _, d := range pr.direct {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(d.SnapshotBytes()))
+		if buf, err = d.AppendSnapshot(buf); err != nil {
 			return nil, err
 		}
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(blob)))
-		buf = append(buf, blob...)
 	}
-	blob, err := pr.conf.Snapshot()
-	if err != nil {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(pr.conf.SnapshotBytes()))
+	if buf, err = pr.conf.AppendSnapshot(buf); err != nil {
 		return nil, err
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(blob)))
-	buf = append(buf, blob...)
 	return buf, nil
 }
 
@@ -121,8 +127,7 @@ func (pr *Protocol) Snapshot() ([]byte, error) {
 // non-finite accumulator values, and group/oracle report tallies that
 // disagree with each other.
 func (pr *Protocol) decodeSnapshot(buf []byte) (*Accumulator, [][]byte, error) {
-	const header = 4 + 1 + 8 + 4 + 8
-	if len(buf) < header {
+	if len(buf) < snapshotHeader {
 		return nil, nil, fmt.Errorf("core: snapshot too short (%d bytes)", len(buf))
 	}
 	if string(buf[:4]) != "LPSK" {
@@ -142,7 +147,7 @@ func (pr *Protocol) decodeSnapshot(buf []byte) (*Accumulator, [][]byte, error) {
 	if absorbed > math.MaxInt64 {
 		return nil, nil, fmt.Errorf("core: snapshot report count %d is negative", int64(absorbed))
 	}
-	off := header
+	off := snapshotHeader
 	if len(buf) < off+8*pr.p.M {
 		return nil, nil, fmt.Errorf("core: snapshot truncated in group counts")
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 )
 
 // The oracles serialize their accumulated (non-finalized) state into small
@@ -66,11 +67,19 @@ func (d *DirectHistogram) Fingerprint() uint64 {
 
 // Snapshot serializes the Hashtogram's accumulated state (format above).
 func (h *Hashtogram) Snapshot() ([]byte, error) {
+	return h.AppendSnapshot(make([]byte, 0, h.SnapshotBytes()))
+}
+
+// SnapshotBytes returns the exact length of the Hashtogram's snapshot.
+func (h *Hashtogram) SnapshotBytes() int { return 4 + 1 + 4 + 4 + 8*h.p.Rows + 8*h.p.Rows*h.p.T }
+
+// AppendSnapshot appends the Hashtogram's snapshot to buf, growing it at
+// most once, and returns the extended slice.
+func (h *Hashtogram) AppendSnapshot(buf []byte) ([]byte, error) {
 	if h.finalized {
 		return nil, fmt.Errorf("freqoracle: Snapshot after Finalize")
 	}
-	size := 4 + 1 + 4 + 4 + 8*h.p.Rows + 8*h.p.Rows*h.p.T
-	buf := make([]byte, 0, size)
+	buf = slices.Grow(buf, h.SnapshotBytes())
 	buf = append(buf, 'L', 'H', 'S', 'K', 1)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(h.p.Rows))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(h.p.T))
@@ -101,8 +110,7 @@ func (h *Hashtogram) Restore(buf []byte) error {
 	if h.finalized {
 		return fmt.Errorf("freqoracle: Restore after Finalize")
 	}
-	want := 4 + 1 + 4 + 4 + 8*h.p.Rows + 8*h.p.Rows*h.p.T
-	if len(buf) != want {
+	if want := h.SnapshotBytes(); len(buf) != want {
 		return fmt.Errorf("freqoracle: snapshot length %d, want %d", len(buf), want)
 	}
 	if string(buf[:4]) != "LHSK" {
@@ -183,11 +191,19 @@ func validTally(v float64) error {
 // accumulated counters are only meaningful under the randomizer that
 // produced them.
 func (d *DirectHistogram) Snapshot() ([]byte, error) {
+	return d.AppendSnapshot(make([]byte, 0, d.SnapshotBytes()))
+}
+
+// SnapshotBytes returns the exact length of the DirectHistogram's snapshot.
+func (d *DirectHistogram) SnapshotBytes() int { return 4 + 1 + 4 + 4 + 8 + 8 + 8*d.t }
+
+// AppendSnapshot appends the DirectHistogram's snapshot to buf, growing it
+// at most once, and returns the extended slice.
+func (d *DirectHistogram) AppendSnapshot(buf []byte) ([]byte, error) {
 	if d.finalized {
 		return nil, fmt.Errorf("freqoracle: Snapshot after Finalize")
 	}
-	size := 4 + 1 + 4 + 4 + 8 + 8 + 8*d.t
-	buf := make([]byte, 0, size)
+	buf = slices.Grow(buf, d.SnapshotBytes())
 	buf = append(buf, 'L', 'D', 'S', 'K', 1)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(d.domain))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(d.t))
@@ -206,8 +222,7 @@ func (d *DirectHistogram) Restore(buf []byte) error {
 	if d.finalized {
 		return fmt.Errorf("freqoracle: Restore after Finalize")
 	}
-	want := 4 + 1 + 4 + 4 + 8 + 8 + 8*d.t
-	if len(buf) != want {
+	if want := d.SnapshotBytes(); len(buf) != want {
 		return fmt.Errorf("freqoracle: snapshot length %d, want %d", len(buf), want)
 	}
 	if string(buf[:4]) != "LDSK" {

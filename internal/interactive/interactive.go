@@ -67,16 +67,16 @@ func (m Mode) String() string {
 // most 2^16 children per survivor; the candidate-set product bound keeps
 // every per-round oracle domain far below the proto decode limit.
 const (
-	maxRounds        = 255 // the wire round byte
-	maxBitsPerRound  = 16
-	maxRoundDomain   = 1 << 22 // candidate count bound per round (matches proto.maxRoundCandidates)
-	defaultBitsExt   = 4
-	defaultTopK      = 16
-	thresholdBeta    = 0.05 // failure probability of the derived FedTrie threshold envelope
-	groupSeedLabel   = 0x726f756e6447727 // "roundGr" — group-hash sub-seed label
-	roundRandLabel   = 0x726f756e64524e47 // "roundRNG" — per-round device sub-stream label
-	snapshotMagic    = "LIRK"
-	snapshotVersion  = 1
+	maxRounds       = 255 // the wire round byte
+	maxBitsPerRound = 16
+	maxRoundDomain  = 1 << 22 // candidate count bound per round (matches proto.maxRoundCandidates)
+	defaultBitsExt  = 4
+	defaultTopK     = 16
+	thresholdBeta   = 0.05               // failure probability of the derived FedTrie threshold envelope
+	groupSeedLabel  = 0x726f756e6447727  // "roundGr" — group-hash sub-seed label
+	roundRandLabel  = 0x726f756e64524e47 // "roundRNG" — per-round device sub-stream label
+	snapshotMagic   = "LIRK"
+	snapshotVersion = 1
 )
 
 // ErrNotInRound is returned by Report when the user's group is not the one
@@ -124,10 +124,10 @@ type RoundReport struct {
 // Engine is the shared round state machine. It is not safe for concurrent
 // use — Wire wraps it with a mutex for the aggregation server.
 type Engine struct {
-	p        Params
-	bits     int // total prefix bits = 8·ItemBytes
-	group    hashing.KWise
-	fp       uint64
+	p     Params
+	bits  int // total prefix bits = 8·ItemBytes
+	group hashing.KWise
+	fp    uint64
 
 	round        int
 	cands        [][]byte // canonical: sorted ascending, strictly increasing

@@ -194,11 +194,11 @@ func TestSetRoundStateValidation(t *testing.T) {
 	}
 	good := eng.RoundState()
 	cases := map[string]func(rs *proto.RoundState){
-		"done state":        func(rs *proto.RoundState) { rs.Done = true },
-		"wrong rounds":      func(rs *proto.RoundState) { rs.Rounds++ },
+		"done state":         func(rs *proto.RoundState) { rs.Done = true },
+		"wrong rounds":       func(rs *proto.RoundState) { rs.Rounds++ },
 		"round out of range": func(rs *proto.RoundState) { rs.Round = rs.Rounds },
-		"wrong width":       func(rs *proto.RoundState) { rs.PrefixBits++ },
-		"empty candidates":  func(rs *proto.RoundState) { rs.Candidates = nil },
+		"wrong width":        func(rs *proto.RoundState) { rs.PrefixBits++ },
+		"empty candidates":   func(rs *proto.RoundState) { rs.Candidates = nil },
 		"unsorted": func(rs *proto.RoundState) {
 			rs.Candidates[0], rs.Candidates[1] = rs.Candidates[1], rs.Candidates[0]
 		},

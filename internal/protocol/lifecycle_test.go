@@ -550,8 +550,8 @@ func TestMetricsEndpoints(t *testing.T) {
 // Mergeable capability (Bitstogram's ID, none of its methods needed here).
 type unsnapshottableAgg struct{}
 
-func (unsnapshottableAgg) ProtocolID() byte                  { return proto.IDBitstogram }
-func (unsnapshottableAgg) Absorb(proto.WireReport) error     { return nil }
+func (unsnapshottableAgg) ProtocolID() byte                     { return proto.IDBitstogram }
+func (unsnapshottableAgg) Absorb(proto.WireReport) error        { return nil }
 func (unsnapshottableAgg) AbsorbBatch([]proto.WireReport) error { return nil }
 func (unsnapshottableAgg) Identify(context.Context) ([]proto.Estimate, error) {
 	return nil, fmt.Errorf("not implemented")

@@ -28,6 +28,7 @@ import (
 	"testing"
 
 	"ldphh"
+	"ldphh/internal/core"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/kernel_golden.json from the current kernels")
@@ -119,6 +120,35 @@ func kernelRound(t *testing.T, kind ldphh.Kind, workers int) string {
 	return hex.EncodeToString(dig.Sum(nil))
 }
 
+// pesWireKey names the PES device-wire digest in the golden file.
+const pesWireKey = "pes_device_wire"
+
+// pesWireDigest digests the raw symbols the PES device encoder puts on the
+// wire: Code.EncodeAt for every coordinate of a fixed item set. The
+// Identify digests alone cannot pin these bits, because a heavy hitter
+// survives some encoder changes (e.g. a different fingerprint slot order)
+// that still change every report.
+func pesWireDigest(t *testing.T) string {
+	t.Helper()
+	pr, err := core.New(core.Params{Eps: 4, N: 6000, ItemBytes: 2, Seed: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := pr.Code()
+	dig := sha256.New()
+	for i := uint64(0); i < 64; i++ {
+		item := ordinalItem(i*1031, 2)
+		for m := 0; m < code.M(); m++ {
+			sym, err := code.EncodeAt(item, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(dig, "%x:%d:%d:%x\n", item, m, sym.Y, sym.Z)
+		}
+	}
+	return hex.EncodeToString(dig.Sum(nil))
+}
+
 // TestKernelEquivalence checks all three contracts at once: Identify output
 // is identical at Workers ∈ {1, 4, GOMAXPROCS} for every kind, and equal to
 // the committed pre-rewrite golden digest.
@@ -157,6 +187,13 @@ func TestKernelEquivalence(t *testing.T) {
 			}
 		})
 	}
+	t.Run(pesWireKey, func(t *testing.T) {
+		d := pesWireDigest(t)
+		got[pesWireKey] = d
+		if !*updateGolden && d != golden[pesWireKey] {
+			t.Errorf("PES device-wire digest %s, want golden %s — EncodeAt output changed bits", d, golden[pesWireKey])
+		}
+	})
 	if *updateGolden {
 		raw, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
