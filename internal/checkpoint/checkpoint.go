@@ -27,9 +27,12 @@
 // parameters), deliberately not subject to the torn-file fallback.
 //
 // The payload itself is an opaque snapshot blob (LPSK/LHSK/LDSK — see
-// DESIGN.md §6); its own embedded fingerprints are revalidated again by the
+// DESIGN.md §8); its own embedded fingerprints are revalidated again by the
 // aggregator's Restore, so the file-level check is an early, cheaper
-// rejection, not the only line of defense.
+// rejection, not the only line of defense. The LHSK/LDSK oracle blobs
+// store only their non-zero cells (version 2), so a payload grows with the
+// reports absorbed rather than with the sketch size; files holding the
+// dense version 1 blobs still restore.
 package checkpoint
 
 import (

@@ -60,6 +60,8 @@ type Protocol struct {
 	groupN    []int
 	absorbed  int
 	finalized bool
+	// snapshotHint is the last Snapshot's length, its next initial capacity.
+	snapshotHint int
 }
 
 // New constructs the protocol and draws all public randomness from

@@ -12,17 +12,22 @@ import (
 // shard of the fleet's reports can Snapshot its state, ship the bytes to a
 // parent, and the parent folds them in with MergeSnapshot — the fan-in tree
 // deployment of Bassily-Nissim-Stemmer-Thakurta (2017). Because every
-// counter is an exact small integer in float64, merge order cannot change
-// any estimate: a root that merges k leaf snapshots identifies the
-// bit-identical heavy-hitter list a single aggregator would have produced
-// from the union of the reports (the cross-layer equivalence suite enforces
-// this at every layer, under the race detector, and over real TCP).
+// counter is an exact integer, merge order cannot change any estimate: a
+// root that merges k leaf snapshots identifies the bit-identical
+// heavy-hitter list a single aggregator would have produced from the union
+// of the reports (the cross-layer equivalence suite enforces this at every
+// layer, under the race detector, and over real TCP).
 //
 // Format "LPSK" version 1 (big endian):
 //
 //	magic "LPSK" | version u8 | fingerprint u64 | m u32 | absorbed u64 |
 //	groupN []u64 | per coordinate: len u32 + DirectHistogram "LDSK" blob |
 //	len u32 + confirmation Hashtogram "LHSK" blob
+//
+// The embedded oracle blobs carry their own versions, so LPSK version 1
+// holds LDSK/LHSK blobs of either version: Snapshot writes the sparse
+// version 2 blobs, and Restore accepts version 1 or 2 (see package
+// freqoracle).
 //
 // The fingerprint pins every parameter that shapes the accumulated state or
 // the public randomness (see Fingerprint); a snapshot from a protocol built
@@ -80,19 +85,17 @@ func (pr *Protocol) Fingerprint() uint64 {
 // Snapshot serializes the protocol's full accumulated (pre-Identify) state:
 // the per-coordinate DirectHistogram counters, the confirmation Hashtogram
 // counters, and the group occupancy the admission thresholds derive from.
-// The bytes restore only into a protocol with an equal Fingerprint. The
-// snapshot is encoded in place into one exact-size allocation.
+// The bytes restore only into a protocol with an equal Fingerprint. Every
+// blob is appended into one growing buffer whose initial capacity is the
+// previous snapshot's length, so a checkpoint over slowly growing state
+// usually allocates once.
 func (pr *Protocol) Snapshot() ([]byte, error) {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
 	if pr.finalized {
 		return nil, fmt.Errorf("core: Snapshot after Identify")
 	}
-	size := snapshotHeader + 8*pr.p.M + 4 + pr.conf.SnapshotBytes()
-	for _, d := range pr.direct {
-		size += 4 + d.SnapshotBytes()
-	}
-	buf := make([]byte, 0, size)
+	buf := make([]byte, 0, max(pr.snapshotHint, snapshotHeader+8*pr.p.M))
 	buf = append(buf, 'L', 'P', 'S', 'K', snapshotVersion)
 	buf = binary.BigEndian.AppendUint64(buf, pr.Fingerprint())
 	buf = binary.BigEndian.AppendUint32(buf, uint32(pr.p.M))
@@ -102,15 +105,26 @@ func (pr *Protocol) Snapshot() ([]byte, error) {
 	}
 	var err error
 	for _, d := range pr.direct {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(d.SnapshotBytes()))
-		if buf, err = d.AppendSnapshot(buf); err != nil {
+		if buf, err = appendBlob(buf, d.AppendSnapshot); err != nil {
 			return nil, err
 		}
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(pr.conf.SnapshotBytes()))
-	if buf, err = pr.conf.AppendSnapshot(buf); err != nil {
+	if buf, err = appendBlob(buf, pr.conf.AppendSnapshot); err != nil {
 		return nil, err
 	}
+	pr.snapshotHint = len(buf)
+	return buf, nil
+}
+
+// appendBlob appends a u32 length prefix followed by the blob appendTo
+// writes, back-patching the length once the blob is complete.
+func appendBlob(buf []byte, appendTo func([]byte) ([]byte, error)) ([]byte, error) {
+	at := len(buf)
+	buf, err := appendTo(append(buf, 0, 0, 0, 0))
+	if err != nil {
+		return nil, err
+	}
+	binary.BigEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
 	return buf, nil
 }
 

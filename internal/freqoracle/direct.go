@@ -109,7 +109,8 @@ func (d *DirectHistogram) Absorb(rep DirectReport) error {
 	return nil
 }
 
-// Finalize reconstructs the full estimated histogram.
+// Finalize reconstructs the full estimated histogram and releases the
+// accumulator.
 func (d *DirectHistogram) Finalize() {
 	if d.finalized {
 		return
@@ -126,6 +127,7 @@ func (d *DirectHistogram) Finalize() {
 		v[i] *= c
 	}
 	d.hist = v
+	d.acc = nil // every later Absorb, Merge, Snapshot or Restore fails
 	d.finalized = true
 }
 
@@ -180,14 +182,9 @@ func (d *DirectHistogram) Merge(other *DirectHistogram) error {
 	return nil
 }
 
-// SketchBytes returns the resident server state in bytes.
-func (d *DirectHistogram) SketchBytes() int {
-	b := 8 * d.t
-	if d.finalized {
-		b *= 2
-	}
-	return b
-}
+// SketchBytes returns the resident server state in bytes: the int64
+// accumulator before Finalize, the float64 histogram that replaces it after.
+func (d *DirectHistogram) SketchBytes() int { return 8 * d.t }
 
 // ErrorBound returns the Theorem 3.8-shaped high-probability bound on a
 // single query's error at failure probability beta: the estimate is a sum of

@@ -483,3 +483,44 @@ func TestHashtogramFinalizeWorkersEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestFinalizeReleasesAccumulator: Finalize drops the int64 accumulator
+// (every later Absorb, Merge, Snapshot or Restore already fails), so
+// SketchBytes after Finalize is exactly the resident estimate.
+func TestFinalizeReleasesAccumulator(t *testing.T) {
+	h, err := NewHashtogram(HashtogramParams{Eps: 1, N: 100, Rows: 4, T: 64, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDirectHistogram(1, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Absorb(HashtogramReport{Row: 1, Col: 5, Bit: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Absorb(DirectReport{Col: 5, Bit: -1}); err != nil {
+		t.Fatal(err)
+	}
+	h.Finalize()
+	d.Finalize()
+	if h.acc != nil || d.acc != nil {
+		t.Fatal("Finalize kept the accumulator")
+	}
+	est := 0
+	for _, row := range h.est {
+		est += 8 * len(row)
+	}
+	if got, want := h.SketchBytes(), est+8*len(h.rowCounts); got != want {
+		t.Fatalf("finalized Hashtogram SketchBytes = %d, want estimate size %d", got, want)
+	}
+	if got, want := d.SketchBytes(), 8*len(d.hist); got != want {
+		t.Fatalf("finalized DirectHistogram SketchBytes = %d, want estimate size %d", got, want)
+	}
+	if _, err := h.Snapshot(); err == nil {
+		t.Fatal("Snapshot after Finalize succeeded")
+	}
+	if err := d.Restore(nil); err == nil {
+		t.Fatal("Restore after Finalize succeeded")
+	}
+}

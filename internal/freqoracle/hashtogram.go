@@ -193,7 +193,7 @@ func (h *Hashtogram) Absorb(rep HashtogramReport) error {
 }
 
 // Finalize reconstructs per-row bucket histograms (one FWHT per row, all
-// rows concurrently) and freezes the sketch.
+// rows concurrently), freezes the sketch and releases the accumulator.
 func (h *Hashtogram) Finalize() { h.FinalizeWorkers(h.p.Rows) }
 
 // FinalizeWorkers is Finalize with the row transforms bounded to at most
@@ -237,6 +237,7 @@ func (h *Hashtogram) FinalizeWorkers(workers int) {
 			h.scale[r] = n / float64(c)
 		}
 	}
+	h.acc = nil // every later Absorb, Merge, Snapshot or Restore fails
 	h.finalized = true
 }
 
@@ -341,14 +342,10 @@ func (h *Hashtogram) EstimateWithSpread(x []byte) (est, iqr float64) {
 }
 
 // SketchBytes returns the resident size of the server state in bytes
-// (the Table 1 "server memory" metric).
-func (h *Hashtogram) SketchBytes() int {
-	per := 8 * h.p.T * h.p.Rows // acc
-	if h.finalized {
-		per *= 2 // est
-	}
-	return per + 8*h.p.Rows
-}
+// (the Table 1 "server memory" metric): the int64 accumulator before
+// Finalize, the float64 estimates that replace it after, plus the row
+// counts.
+func (h *Hashtogram) SketchBytes() int { return 8*h.p.T*h.p.Rows + 8*h.p.Rows }
 
 // ErrorBound returns a calibrated envelope on the error of a single query at
 // failure probability beta. Shape per Theorem 3.7: a per-row standard

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"slices"
 )
 
 // The oracles serialize their accumulated (non-finalized) state into small
@@ -21,15 +20,25 @@ import (
 // shape, counter ranges, float finiteness) before touching any state, so a
 // failed Restore leaves the oracle exactly as it was.
 //
-// Hashtogram format "LHSK" version 1 (big endian), pinned by
-// TestSnapshotGoldenBytes:
+// Hashtogram format "LHSK" (big endian), pinned by TestSnapshotGoldenBytes:
 //
-//	magic "LHSK" | version u8 | rows u32 | t u32 | rowCounts []u64 | acc []f64
+//	magic "LHSK" | version u8 | rows u32 | t u32 | rowCounts []u64 | cells
 //
-// DirectHistogram format "LDSK" version 1 (big endian), pinned by
+// DirectHistogram format "LDSK" (big endian), pinned by
 // TestDirectSnapshotGoldenBytes:
 //
-//	magic "LDSK" | version u8 | domain u32 | t u32 | epsBits u64 | n u64 | acc []f64
+//	magic "LDSK" | version u8 | domain u32 | t u32 | epsBits u64 | n u64 | cells
+//
+// The cells are the accumulator, row-major for the Hashtogram. Version 2,
+// the only version written, stores them sparsely: every report adds one ±1
+// bit to one cell, so after k reports at most k cells are non-zero. For
+// each non-zero cell the stream holds a uvarint of the zero cells skipped
+// since the previous one, then the value as a zigzag varint; a skip that
+// reaches the end of the cells closes the stream. Restore accepts only the
+// canonical stream: minimal varints, no run past the last cell, no zero
+// value, no |value| above maxSnapshotTally, no trailing bytes. Version 1
+// stored every cell as float64 bits; it is read-only, kept so checkpoints
+// written before version 2 still restore.
 
 // fingerprint digests a labeled word sequence with FNV-1a — the shared
 // helper behind the oracle parameter fingerprints, labeled per type so the
@@ -65,35 +74,11 @@ func (d *DirectHistogram) Fingerprint() uint64 {
 		math.Float64bits(d.eps), uint64(d.domain), uint64(d.t))
 }
 
-// Snapshot serializes the Hashtogram's accumulated state (format above).
-func (h *Hashtogram) Snapshot() ([]byte, error) {
-	return h.AppendSnapshot(make([]byte, 0, h.SnapshotBytes()))
-}
-
-// SnapshotBytes returns the exact length of the Hashtogram's snapshot.
-func (h *Hashtogram) SnapshotBytes() int { return 4 + 1 + 4 + 4 + 8*h.p.Rows + 8*h.p.Rows*h.p.T }
-
-// AppendSnapshot appends the Hashtogram's snapshot to buf, growing it at
-// most once, and returns the extended slice.
-func (h *Hashtogram) AppendSnapshot(buf []byte) ([]byte, error) {
-	if h.finalized {
-		return nil, fmt.Errorf("freqoracle: Snapshot after Finalize")
-	}
-	buf = slices.Grow(buf, h.SnapshotBytes())
-	buf = append(buf, 'L', 'H', 'S', 'K', 1)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(h.p.Rows))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(h.p.T))
-	for _, c := range h.rowCounts {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(c))
-	}
-	// The wire format keeps float64-bits cells: the int64 tallies are exact
-	// integers far below 2^53, so the conversion is lossless and the encoded
-	// bytes are identical to the historical float64 accumulator's.
-	for _, v := range h.acc {
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(float64(v)))
-	}
-	return buf, nil
-}
+// Snapshot versions: v1 is read-only, v2 is the only one written.
+const (
+	snapshotV1 = 1 // dense float64 cells
+	snapshotV2 = 2 // sparse cell stream
+)
 
 // maxSnapshotTally bounds every deserialized counter: report tallies and
 // accumulator cells are integer-valued with magnitude at most the absorbed
@@ -103,73 +88,121 @@ func (h *Hashtogram) AppendSnapshot(buf []byte) ([]byte, error) {
 // signed wraparound.
 const maxSnapshotTally = uint64(1) << 53
 
-// Restore loads a snapshot produced by a sketch with identical parameters,
-// replacing this sketch's accumulated state. On error the state is
-// unchanged.
-func (h *Hashtogram) Restore(buf []byte) error {
-	if h.finalized {
-		return fmt.Errorf("freqoracle: Restore after Finalize")
-	}
-	if want := h.SnapshotBytes(); len(buf) != want {
-		return fmt.Errorf("freqoracle: snapshot length %d, want %d", len(buf), want)
-	}
-	if string(buf[:4]) != "LHSK" {
-		return fmt.Errorf("freqoracle: bad snapshot magic")
-	}
-	if buf[4] != 1 {
-		return fmt.Errorf("freqoracle: unsupported snapshot version %d", buf[4])
-	}
-	rows := int(binary.BigEndian.Uint32(buf[5:]))
-	t := int(binary.BigEndian.Uint32(buf[9:]))
-	if rows != h.p.Rows || t != h.p.T {
-		return fmt.Errorf("freqoracle: snapshot shape (%d,%d) does not match sketch (%d,%d)",
-			rows, t, h.p.Rows, h.p.T)
-	}
-	// Validation pass: every counter must be a plausible accumulator value
-	// before anything is committed. Row counts are report tallies, so each —
-	// and their sum, which becomes the total — is checked against the
-	// explicit maxSnapshotTally bound on the raw uint64 before any int
-	// conversion; accumulator cells are sums of ±1 reports, so anything
-	// non-finite, non-integral or beyond the bound can only be corruption.
-	off := 13
-	var sum uint64
-	for r := 0; r < rows; r++ {
-		c := binary.BigEndian.Uint64(buf[off:])
-		if c > maxSnapshotTally {
-			return fmt.Errorf("freqoracle: snapshot row %d count %d exceeds report-tally bound %d", r, c, maxSnapshotTally)
+// appendCells appends the version 2 cell stream of acc (format above).
+func appendCells(buf []byte, acc []int64) []byte {
+	run := uint64(0)
+	for _, v := range acc {
+		if v == 0 {
+			run++
+			continue
 		}
-		sum += c
-		if sum > maxSnapshotTally {
-			return fmt.Errorf("freqoracle: snapshot total report count exceeds bound %d", maxSnapshotTally)
-		}
-		off += 8
+		buf = binary.AppendUvarint(buf, run)
+		buf = binary.AppendVarint(buf, v)
+		run = 0
 	}
-	for i := 0; i < rows*t; i++ {
-		v := math.Float64frombits(binary.BigEndian.Uint64(buf[off:]))
-		if err := validTally(v); err != nil {
+	return binary.AppendUvarint(buf, run)
+}
+
+// readCells validates a cell section of the given version holding exactly
+// len(acc) cells and, when commit is set, overwrites acc with it. Restore
+// runs it once without commit before touching any state.
+func readCells(version byte, src []byte, acc []int64, commit bool) error {
+	if version == snapshotV1 {
+		return readDenseCells(src, acc, commit)
+	}
+	return readSparseCells(src, acc, commit)
+}
+
+// readDenseCells reads version 1 cells: one float64 per cell.
+func readDenseCells(src []byte, acc []int64, commit bool) error {
+	if len(src) != 8*len(acc) {
+		return fmt.Errorf("freqoracle: snapshot cell section is %d bytes, want %d", len(src), 8*len(acc))
+	}
+	for j := range acc {
+		v := math.Float64frombits(binary.BigEndian.Uint64(src[8*j:]))
+		if commit {
+			acc[j] = int64(v)
+		} else if err := validTally(v); err != nil {
 			return err
 		}
-		off += 8
-	}
-	// Commit pass.
-	off = 13
-	h.total = int(sum)
-	for r := 0; r < rows; r++ {
-		h.rowCounts[r] = int(binary.BigEndian.Uint64(buf[off:]))
-		off += 8
-	}
-	for j := range h.acc {
-		h.acc[j] = int64(math.Float64frombits(binary.BigEndian.Uint64(buf[off:])))
-		off += 8
 	}
 	return nil
 }
 
-// validTally accepts exactly the float64 values an accumulator cell can
-// hold: finite, integral, magnitude at most maxSnapshotTally. Every
-// accepted value converts to int64 and back to the identical float64 bits,
-// which is what keeps the canonical round-trip property intact across the
-// int64 accumulator layout.
+// readSparseCells reads a version 2 cell stream. A one-byte varint, which
+// most skips and values are, is decoded in line at both read sites; a call
+// per varint would double the cost of a restore.
+func readSparseCells(src []byte, acc []int64, commit bool) error {
+	if commit {
+		clear(acc)
+	}
+	i, pos := 0, 0
+	for {
+		var skip uint64
+		if i < len(src) && src[i] < 0x80 {
+			skip = uint64(src[i])
+			i++
+		} else {
+			v, n, err := longUvarint(src[i:])
+			if err != nil {
+				return err
+			}
+			skip, i = v, i+n
+		}
+		if left := uint64(len(acc) - pos); skip >= left {
+			if skip > left {
+				return fmt.Errorf("freqoracle: snapshot cell run of %d zeros passes the last cell (%d left)", skip, left)
+			}
+			if i != len(src) {
+				return fmt.Errorf("freqoracle: snapshot has %d trailing bytes", len(src)-i)
+			}
+			return nil
+		}
+		pos += int(skip)
+		var u uint64
+		if i < len(src) && src[i] < 0x80 {
+			u = uint64(src[i])
+			i++
+		} else {
+			v, n, err := longUvarint(src[i:])
+			if err != nil {
+				return err
+			}
+			u, i = v, i+n
+		}
+		// Zigzag: u = 2v for v >= 0 and -2v-1 for v < 0, so |v| <= 2^53
+		// exactly when u <= 2^54.
+		if u == 0 {
+			return fmt.Errorf("freqoracle: snapshot cell %d is an explicit zero", pos)
+		}
+		if u > 2*maxSnapshotTally {
+			return fmt.Errorf("freqoracle: snapshot cell %d exceeds report-tally bound %d", pos, maxSnapshotTally)
+		}
+		if commit {
+			acc[pos] = int64(u>>1) ^ -int64(u&1)
+		}
+		pos++
+	}
+}
+
+// longUvarint decodes the uvarint at the front of src, which is empty or
+// starts with a continuation byte, and returns it with its length. The
+// varint must be complete, fit 64 bits and be minimally encoded: a
+// multi-byte varint whose last byte is zero has a shorter form.
+func longUvarint(src []byte) (uint64, int, error) {
+	v, n := binary.Uvarint(src)
+	if n <= 0 {
+		return 0, 0, fmt.Errorf("freqoracle: snapshot cell stream is truncated or has an overlong varint")
+	}
+	if src[n-1] == 0 {
+		return 0, 0, fmt.Errorf("freqoracle: snapshot cell stream has a non-minimal varint")
+	}
+	return v, n, nil
+}
+
+// validTally accepts exactly the float64 values a version 1 cell can hold:
+// finite, integral, magnitude at most maxSnapshotTally. Every accepted
+// value converts to int64 exactly.
 func validTally(v float64) error {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return fmt.Errorf("freqoracle: snapshot accumulator value %v is not finite", v)
@@ -178,11 +211,79 @@ func validTally(v float64) error {
 		return fmt.Errorf("freqoracle: snapshot accumulator value %v is not an integral report tally", v)
 	}
 	if v == 0 && math.Signbit(v) {
-		// ±1 sums can never produce -0.0, and it would re-encode as +0.0,
-		// breaking the canonical round-trip property.
+		// ±1 sums can never produce -0.0.
 		return fmt.Errorf("freqoracle: snapshot accumulator value -0 is not canonical")
 	}
 	return nil
+}
+
+// Snapshot serializes the Hashtogram's accumulated state (format above).
+func (h *Hashtogram) Snapshot() ([]byte, error) { return h.AppendSnapshot(nil) }
+
+// AppendSnapshot appends the Hashtogram's snapshot to buf and returns the
+// extended slice.
+func (h *Hashtogram) AppendSnapshot(buf []byte) ([]byte, error) {
+	if h.finalized {
+		return nil, fmt.Errorf("freqoracle: Snapshot after Finalize")
+	}
+	buf = append(buf, 'L', 'H', 'S', 'K', snapshotV2)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(h.p.Rows))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(h.p.T))
+	for _, c := range h.rowCounts {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(c))
+	}
+	return appendCells(buf, h.acc), nil
+}
+
+// Restore loads a snapshot of either version produced by a sketch with
+// identical parameters, replacing this sketch's accumulated state. On
+// error the state is unchanged.
+func (h *Hashtogram) Restore(buf []byte) error {
+	if h.finalized {
+		return fmt.Errorf("freqoracle: Restore after Finalize")
+	}
+	const head = 4 + 1 + 4 + 4
+	if len(buf) < head+8*h.p.Rows {
+		return fmt.Errorf("freqoracle: snapshot truncated at %d bytes", len(buf))
+	}
+	if string(buf[:4]) != "LHSK" {
+		return fmt.Errorf("freqoracle: bad snapshot magic")
+	}
+	version := buf[4]
+	if version != snapshotV1 && version != snapshotV2 {
+		return fmt.Errorf("freqoracle: unsupported snapshot version %d", version)
+	}
+	rows := int(binary.BigEndian.Uint32(buf[5:]))
+	t := int(binary.BigEndian.Uint32(buf[9:]))
+	if rows != h.p.Rows || t != h.p.T {
+		return fmt.Errorf("freqoracle: snapshot shape (%d,%d) does not match sketch (%d,%d)",
+			rows, t, h.p.Rows, h.p.T)
+	}
+	// Validation pass. Row counts are report tallies, so each — and their
+	// sum, which becomes the total — is checked against maxSnapshotTally on
+	// the raw uint64 before any int conversion.
+	counts := buf[head : head+8*rows]
+	cells := buf[head+8*rows:]
+	var sum uint64
+	for r := 0; r < rows; r++ {
+		c := binary.BigEndian.Uint64(counts[8*r:])
+		if c > maxSnapshotTally {
+			return fmt.Errorf("freqoracle: snapshot row %d count %d exceeds report-tally bound %d", r, c, maxSnapshotTally)
+		}
+		sum += c
+		if sum > maxSnapshotTally {
+			return fmt.Errorf("freqoracle: snapshot total report count exceeds bound %d", maxSnapshotTally)
+		}
+	}
+	if err := readCells(version, cells, h.acc, false); err != nil {
+		return err
+	}
+	// Commit pass.
+	h.total = int(sum)
+	for r := range h.rowCounts {
+		h.rowCounts[r] = int(binary.BigEndian.Uint64(counts[8*r:]))
+	}
+	return readCells(version, cells, h.acc, true)
 }
 
 // Snapshot serializes the DirectHistogram's accumulated state (format
@@ -190,46 +291,39 @@ func validTally(v float64) error {
 // snapshot cannot be restored into an oracle with a different ε — the
 // accumulated counters are only meaningful under the randomizer that
 // produced them.
-func (d *DirectHistogram) Snapshot() ([]byte, error) {
-	return d.AppendSnapshot(make([]byte, 0, d.SnapshotBytes()))
-}
+func (d *DirectHistogram) Snapshot() ([]byte, error) { return d.AppendSnapshot(nil) }
 
-// SnapshotBytes returns the exact length of the DirectHistogram's snapshot.
-func (d *DirectHistogram) SnapshotBytes() int { return 4 + 1 + 4 + 4 + 8 + 8 + 8*d.t }
-
-// AppendSnapshot appends the DirectHistogram's snapshot to buf, growing it
-// at most once, and returns the extended slice.
+// AppendSnapshot appends the DirectHistogram's snapshot to buf and returns
+// the extended slice.
 func (d *DirectHistogram) AppendSnapshot(buf []byte) ([]byte, error) {
 	if d.finalized {
 		return nil, fmt.Errorf("freqoracle: Snapshot after Finalize")
 	}
-	buf = slices.Grow(buf, d.SnapshotBytes())
-	buf = append(buf, 'L', 'D', 'S', 'K', 1)
+	buf = append(buf, 'L', 'D', 'S', 'K', snapshotV2)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(d.domain))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(d.t))
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(d.eps))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(d.n))
-	for _, v := range d.acc {
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(float64(v)))
-	}
-	return buf, nil
+	return appendCells(buf, d.acc), nil
 }
 
-// Restore loads a snapshot produced by an oracle with identical parameters,
-// replacing this oracle's accumulated state. On error the state is
-// unchanged.
+// Restore loads a snapshot of either version produced by an oracle with
+// identical parameters, replacing this oracle's accumulated state. On
+// error the state is unchanged.
 func (d *DirectHistogram) Restore(buf []byte) error {
 	if d.finalized {
 		return fmt.Errorf("freqoracle: Restore after Finalize")
 	}
-	if want := d.SnapshotBytes(); len(buf) != want {
-		return fmt.Errorf("freqoracle: snapshot length %d, want %d", len(buf), want)
+	const head = 4 + 1 + 4 + 4 + 8 + 8
+	if len(buf) < head {
+		return fmt.Errorf("freqoracle: snapshot truncated at %d bytes", len(buf))
 	}
 	if string(buf[:4]) != "LDSK" {
 		return fmt.Errorf("freqoracle: bad snapshot magic")
 	}
-	if buf[4] != 1 {
-		return fmt.Errorf("freqoracle: unsupported snapshot version %d", buf[4])
+	version := buf[4]
+	if version != snapshotV1 && version != snapshotV2 {
+		return fmt.Errorf("freqoracle: unsupported snapshot version %d", version)
 	}
 	domain := int(binary.BigEndian.Uint32(buf[5:]))
 	t := int(binary.BigEndian.Uint32(buf[9:]))
@@ -245,20 +339,10 @@ func (d *DirectHistogram) Restore(buf []byte) error {
 	if n > maxSnapshotTally {
 		return fmt.Errorf("freqoracle: snapshot report count %d exceeds report-tally bound %d", n, maxSnapshotTally)
 	}
-	off := 29
-	for j := 0; j < t; j++ {
-		v := math.Float64frombits(binary.BigEndian.Uint64(buf[off:]))
-		if err := validTally(v); err != nil {
-			return err
-		}
-		off += 8
+	if err := readCells(version, buf[head:], d.acc, false); err != nil {
+		return err
 	}
 	// Commit pass.
 	d.n = int(n)
-	off = 29
-	for j := 0; j < t; j++ {
-		d.acc[j] = int64(math.Float64frombits(binary.BigEndian.Uint64(buf[off:])))
-		off += 8
-	}
-	return nil
+	return readCells(version, buf[head:], d.acc, true)
 }

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"compress/gzip"
 	"context"
 	"errors"
 	"fmt"
@@ -559,3 +560,89 @@ func (unsnapshottableAgg) Identify(context.Context) ([]proto.Estimate, error) {
 func (unsnapshottableAgg) TotalReports() int   { return 0 }
 func (unsnapshottableAgg) SketchBytes() int    { return 0 }
 func (unsnapshottableAgg) BytesPerReport() int { return 1 }
+
+// v1CheckpointFixture is an LCKF file whose LPSK payload carries dense
+// version 1 LDSK/LHSK blobs, written (and gzipped) by the encoder that
+// preceded the sparse version 2 cell stream. It is the newest checkpoint
+// TestCrashRecoveryEquivalence's "clean" scenario leaves behind: seed 1337,
+// the first 3 of 4 mega-batches of 1500 reports acked.
+const v1CheckpointFixture = "testdata/pes_lpsk_v1.lckf.gz"
+
+// TestCrossVersionRecovery: a server upgraded mid-round starts over a
+// checkpoint directory its predecessor wrote in the old encoding. It must
+// recover that checkpoint, take the sender's replay of the unacked batch,
+// identify bit-identically to an uninterrupted in-process run, and write
+// its own checkpoints in the current (smaller) encoding.
+func TestCrossVersionRecovery(t *testing.T) {
+	const (
+		seed    = 1337
+		n       = 6000
+		per     = 1500
+		durable = 3 * per
+	)
+	params := treeParams(seed)
+	wrs := wireReports(t, seed, n)
+	ctx := context.Background()
+
+	ref, err := core.NewPESWire(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.AbsorbBatch(wrs); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Identify(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("the reference run identified nothing; the comparison would be vacuous")
+	}
+
+	f, err := os.Open(v1CheckpointFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "ckpt-0000000000000003.lckf"), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	agg, err := core.NewPESWire(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewGenericServer(agg, "127.0.0.1:0",
+		WithCheckpointDir(dir), WithCheckpointEvery(per), WithCheckpointInterval(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if got := srv.Absorbed(); got != durable {
+		t.Fatalf("recovered server holds %d reports, want %d", got, durable)
+	}
+	if err := SendWireBatch(ctx, srv.Addr(), wrs[durable:]); err != nil {
+		t.Fatal(err)
+	}
+	newest := newestCheckpointFile(t, dir)
+	if filepath.Base(newest) == "ckpt-0000000000000003.lckf" {
+		t.Fatal("the replayed batch was acked without a new checkpoint")
+	}
+	if fi, err := os.Stat(newest); err != nil || fi.Size() >= int64(len(v1)) {
+		t.Fatalf("new checkpoint %s (err=%v) is not smaller than the %d-byte v1 file", newest, err, len(v1))
+	}
+	got, err := RequestIdentify(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameEstimates(t, got, want)
+}
